@@ -148,8 +148,8 @@ class DisseminationBarrier final : public BarrierAlgorithm {
 /// Adapter over the selected backend's keyed BarrierEngine - the barrier
 /// that spans separate address spaces (futex words in the MAP_SHARED arena
 /// under os-fork; coordinator RPCs under cluster). Core never names the
-/// substrate: ForceEnvironment::make_process_shared_barrier asks the
-/// backend for an engine and wraps it here.
+/// substrate: ForceEnvironment::make_team_barrier asks the backend for an
+/// engine and wraps it here.
 class EngineBarrier final : public BarrierAlgorithm {
  public:
   using BarrierAlgorithm::arrive;

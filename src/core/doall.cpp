@@ -70,17 +70,22 @@ SelfschedLoop::SelfschedLoop(ForceEnvironment& env, int width,
   // The barwin/barwot labels are per-construct-kind, not per-site, so they
   // cannot key cross-process state. Separate-process backends key the
   // whole episode by the construct's site key instead.
-  site_ = env.backend().make_doall_site(key.empty() ? "anon" : key, width_);
-  if (site_ != nullptr) return;
+  const std::string site = key.empty() ? "anon" : key;
+  shared_dispatch_ = env.backend().make_dispatch_engine(site);
+  if (shared_dispatch_ != nullptr) {
+    entry_ = env.make_team_barrier(width_, "%ssdo/" + site + "/entry");
+    bounds_ = &env.arena().get_or_create<Bounds>("%ssdo/" + site);
+    return;
+  }
   barwin_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwin");
   barwot_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwot");
   dispatch_ = env.new_dispatch_counter();
   barwot_->acquire();  // exits blocked until all have entered the episode
 }
 
-bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
-                                  std::int64_t incr) {
-  if (site_ != nullptr) {
+bool SelfschedLoop::enter_episode(int me0, std::int64_t start,
+                                  std::int64_t last, std::int64_t incr) {
+  if (shared_dispatch_ != nullptr) {
     // Champion episode barrier, across address spaces: the last arriver
     // publishes the bounds and re-arms the dispatch while every other
     // process is provably parked on the episode entry, then releases
@@ -88,12 +93,15 @@ bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
     // episode at that moment, because it would not have arrived here yet -
     // so there is still no exit barrier, exactly as in the thread
     // expansion.
-    const machdep::DoallBounds b =
-        site_->enter(start, last, incr, loop_trip_count(start, last, incr));
-    start_ = b.start;
-    last_ = b.last;
-    incr_ = b.incr;
-    trips_ = b.trips;
+    const std::int64_t trips = loop_trip_count(start, last, incr);
+    entry_->arrive(me0, [this, start, last, incr, trips] {
+      *bounds_ = Bounds{start, last, incr, trips};
+      shared_dispatch_->reset();
+    });
+    start_ = bounds_->start;
+    last_ = bounds_->last;
+    incr_ = bounds_->incr;
+    trips_ = bounds_->trips;
     return last == last_ && incr == incr_;
   }
   bool ok = true;
@@ -123,8 +131,8 @@ bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
 }
 
 void SelfschedLoop::leave_episode() {
-  // Re-entry fenced by the engine's entry barrier on keyed backends.
-  if (site_ != nullptr) return;
+  // Re-entry fenced by the entry barrier on keyed backends.
+  if (shared_dispatch_ != nullptr) return;
   barwot_->acquire();
   --zznbar_;
   if (zznbar_ == 0) {
@@ -140,7 +148,7 @@ void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
                         std::int64_t chunk) {
   FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
   FORCE_CHECK(chunk >= 1, "chunk must be >= 1");
-  const bool spmd_ok = enter_episode(start, last, incr);
+  const bool spmd_ok = enter_episode(me0, start, last, incr);
   // Departure must be reported even if the body throws, or the loop could
   // never be re-entered by the remaining processes.
   struct Departure {
@@ -170,9 +178,9 @@ void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
   for (;;) {
     // The lock-free claim has no lock hook, so the fuzzer perturbs here.
     if (sentry != nullptr) sentry->fuzz();
-    const machdep::DispatchClaim c = site_ != nullptr
-                                         ? site_->claim(chunk, trips)
-                                         : dispatch_->claim(chunk, trips);
+    const machdep::DispatchClaim c =
+        shared_dispatch_ != nullptr ? shared_dispatch_->claim(chunk, trips)
+                                    : dispatch_->claim(chunk, trips);
     ++tally.dispatches;
     if (tracer) {
       tracer->instant(me0, util::TraceKind::kLoopDispatch,
@@ -194,7 +202,7 @@ void SelfschedLoop::run_guided(int me0, std::int64_t start, std::int64_t last,
                                std::int64_t incr,
                                const std::function<void(std::int64_t)>& body) {
   FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
-  const bool spmd_ok = enter_episode(start, last, incr);
+  const bool spmd_ok = enter_episode(me0, start, last, incr);
   struct Departure {
     SelfschedLoop* loop;
     ~Departure() { loop->leave_episode(); }
@@ -221,8 +229,9 @@ void SelfschedLoop::run_guided(int me0, std::int64_t start, std::int64_t last,
     // (good load balance at the tail). On the lock-free engine this is a
     // CAS loop on the remaining-trips value.
     const machdep::DispatchClaim c =
-        site_ != nullptr ? site_->claim_fraction(trips, 2 * width_)
-                         : dispatch_->claim_fraction(trips, 2 * width_);
+        shared_dispatch_ != nullptr
+            ? shared_dispatch_->claim_fraction(trips, 2 * width_)
+            : dispatch_->claim_fraction(trips, 2 * width_);
     ++tally.dispatches;
     if (tracer) {
       tracer->instant(me0, util::TraceKind::kLoopDispatch,

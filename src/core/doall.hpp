@@ -66,8 +66,8 @@ class SelfschedLoop {
  public:
   /// `key` is the construct's stable site key. Separate-process backends
   /// key the loop's episode state (entry barrier + dispatch counter +
-  /// bounds) by it so every real process reaches the same engine state;
-  /// the thread backend ignores it.
+  /// bounds) by it so every real process reaches the same state; the
+  /// thread backend ignores it.
   SelfschedLoop(ForceEnvironment& env, int width, const std::string& key = "");
 
   /// Executes the loop body for dynamically claimed indices. `chunk` > 1
@@ -86,19 +86,30 @@ class SelfschedLoop {
   /// Returns false on an SPMD violation (divergent bounds); the arrival is
   /// still counted so the other processes are not wedged - the caller
   /// completes the departure protocol and then reports the error.
-  [[nodiscard]] bool enter_episode(std::int64_t start, std::int64_t last,
-                                   std::int64_t incr);
+  [[nodiscard]] bool enter_episode(int me0, std::int64_t start,
+                                   std::int64_t last, std::int64_t incr);
   void leave_episode();
 
   ForceEnvironment& env_;
   int width_;
 
-  // Separate-process backends: the whole episode protocol folds into one
-  // backend engine (site_ non-null) - an entry barrier whose champion
-  // publishes the bounds and re-arms the dispatch, then a claim loop;
+  /// Episode bounds in the arena, written by the entry champion inside
+  /// the entry barrier's section and read by every process after it.
+  struct Bounds {
+    std::int64_t start = 0;
+    std::int64_t last = 0;
+    std::int64_t incr = 1;
+    std::int64_t trips = 0;
+  };
+
+  // Separate-process backends (shared_dispatch_ non-null): an entry
+  // barrier keyed by the site whose champion publishes the bounds and
+  // re-arms the backend's shared dispatch counter, then the claim loop;
   // faithful to the paper there is still no exit barrier. Null on the
   // thread backend, which keeps the monomorphic expansion below.
-  std::unique_ptr<machdep::DoallSite> site_;
+  std::unique_ptr<machdep::DispatchEngine> shared_dispatch_;
+  std::unique_ptr<BarrierAlgorithm> entry_;
+  Bounds* bounds_ = nullptr;
 
   // The paper's shared environment variables for this loop site:
   std::unique_ptr<machdep::BasicLock> barwin_;   // entry gate

@@ -238,18 +238,20 @@ class ForceEnvironment {
 
   /// Builds a barrier instance for `width` processes with the configured
   /// (or an explicitly named) algorithm; used by sited barriers and by
-  /// Resolve components. Under the fork backend the default-algorithm
-  /// overload is rejected (callers must key a process-shared barrier).
+  /// Resolve components. Thread backend only: the thread algorithms cannot
+  /// span address spaces (see make_team_barrier).
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width);
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
                                                  const std::string& algorithm);
 
-  /// Arena-resident barrier for `width` processes at a deterministic key;
-  /// the only barrier that spans os-fork processes. The key makes lazy
-  /// construction race-free: every process that resolves the same key
-  /// meets at the same two futex words.
-  std::unique_ptr<BarrierAlgorithm> make_process_shared_barrier(
-      int width, const std::string& shm_key);
+  /// The barrier constructs build on: a team barrier for `width` processes
+  /// that every backend can provide. Separate-process backends meet at the
+  /// engine keyed by `key` (futex words in the arena, or a coordinator
+  /// table), so every process that resolves the same key meets at the same
+  /// barrier; the thread backend builds the configured algorithm and
+  /// ignores the key.
+  std::unique_ptr<BarrierAlgorithm> make_team_barrier(int width,
+                                                      const std::string& key);
 
   /// Per-process deterministic RNG substream.
   [[nodiscard]] util::Xoshiro256 rng_for(int proc0) const;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "core/barrier.hpp"
 #include "core/critical.hpp"
 #include "core/env.hpp"
+#include "machdep/arena.hpp"
 #include "machdep/backend.hpp"
 #include "machdep/fiber.hpp"
 
@@ -43,82 +45,82 @@ enum class ReduceStrategy {
 template <typename T>
 class Reduction {
  public:
-  /// `key` is the construct's stable site key; separate-process backends
-  /// key the site's engine state (accumulator, arrival count, result) by
-  /// it (thread backends keep them as members, and only use the key to
-  /// label the critical section in sentry reports).
+  /// `key` is the construct's stable site key. It names the site's lock,
+  /// team barrier and state, so on separate-process backends every
+  /// process that reaches the site meets at the same ones.
   Reduction(ForceEnvironment& env, int width,
             const std::string& key = "reduce")
       : width_(width) {
-    // A backend reduction engine runs the faithful critical idiom across
-    // its address spaces: accumulate under a keyed lock, champion snapshot
-    // at the keyed barrier. The payload crosses by memcpy, so backends
-    // that hand out engines reject non-trivially-copyable types.
+    // The critical idiom built from the lower level only: a machine lock,
+    // a keyed team barrier and state placed in the arena (heap-backed
+    // under thread, MAP_SHARED under os-fork, DSM-coherent under cluster).
+    // The arena holds raw bytes, so only trivially copyable payloads can
+    // live there; the others keep their state here, which the capability
+    // table allows on the thread backend alone.
     if constexpr (std::is_trivially_copyable_v<T>) {
-      site_ = env.backend().make_reduction_site(key, width_, sizeof(T),
-                                                alignof(T));
+      state_ = static_cast<State*>(env.arena().allocate_once(
+          "%reduce/" + key, sizeof(State), alignof(State),
+          machdep::VarClass::kShared, [](void* p) { ::new (p) State(); }));
     } else {
-      // Null engine + supported capability = the thread shapes below.
       env.require(machdep::Capability::kNonTrivialPayloads,
                   "Reduction payload", key);
+      owned_state_ = std::make_unique<State>();
+      state_ = owned_state_.get();
     }
-    if (site_ != nullptr) return;
     critical_ = std::make_unique<CriticalSection>(env, "reduce@" + key);
-    barrier_ = env.make_barrier(width);
-    // vector(count) rather than resize(): Slot holds an atomic, so it is
-    // not MoveInsertable, which resize() formally requires.
-    slots_ = std::vector<Slot>(static_cast<std::size_t>(width));
+    barrier_ = env.make_team_barrier(width, "%reduce/" + key + "/barrier");
+    // The tournament's per-process slots cannot cross address spaces; it
+    // is offered where the thread barrier algorithms are.
+    if (env.supports(machdep::Capability::kThreadBarrierAlgorithms)) {
+      // vector(count) rather than resize(): Slot holds an atomic, so it is
+      // not MoveInsertable, which resize() formally requires.
+      slots_ = std::vector<Slot>(static_cast<std::size_t>(width));
+    }
   }
 
   /// Contributes `local` and returns the combined value of all width
   /// contributions of this episode. Every process of the team must call
   /// (SPMD); the identity element is the first contribution itself, so no
-  /// identity value is needed.
+  /// identity value is needed. Where the tournament is unavailable the
+  /// critical idiom runs regardless of the requested strategy.
   T allreduce(int me0, const T& local, const std::function<T(T, T)>& combine,
               ReduceStrategy strategy, T* shared_target = nullptr) {
     FORCE_CHECK(me0 >= 0 && me0 < width_, "bad reduce process id");
-    if (site_ != nullptr) {
-      // The tournament's per-process slots cannot cross address spaces;
-      // the engine runs the faithful critical idiom regardless of the
-      // requested strategy.
-      const machdep::ReductionSite::Combine fold =
-          [&combine](void* acc, const void* contribution) {
-            T* a = static_cast<T*>(acc);
-            *a = combine(*a, *static_cast<const T*>(contribution));
-          };
-      // Raw storage: the engine's result memcpy fully initializes it.
-      alignas(T) unsigned char raw[sizeof(T)];
-      site_->allreduce(me0, &local, raw, shared_target, fold);
-      return *reinterpret_cast<T*>(raw);
+    if (strategy == ReduceStrategy::kTournament && !slots_.empty()) {
+      return allreduce_tournament(me0, local, combine, shared_target);
     }
-    if (strategy == ReduceStrategy::kCritical) {
-      return allreduce_critical(me0, local, combine, shared_target);
-    }
-    return allreduce_tournament(me0, local, combine, shared_target);
+    return allreduce_critical(me0, local, combine, shared_target);
   }
 
  private:
+  /// The site's episode state. `arrived` comes first: os-fork death
+  /// recovery zeroes the first word of every "%reduce/" arena blob
+  /// (machdep/backend.hpp). The 64-byte alignment keeps it off the cache
+  /// lines of its arena neighbours.
+  struct alignas(64) State {
+    std::uint32_t arrived = 0;  // guarded by critical_
+    T acc{};                    // guarded by critical_
+    T result{};                 // published by the barrier section
+  };
+
   T allreduce_critical(int me0, const T& local,
                        const std::function<T(T, T)>& combine,
                        T* shared_target) {
+    State& st = *state_;
     critical_->enter([&] {
-      if (arrived_ == 0) {
-        accumulator_ = local;
-      } else {
-        accumulator_ = combine(accumulator_, local);
-      }
-      ++arrived_;
+      st.acc = st.arrived == 0 ? local : combine(st.acc, local);
+      ++st.arrived;
     });
     // The barrier section snapshots the total and re-arms the episode
     // while every process is parked - no second barrier needed. A shared
     // target is written here, by the single section executor, so the
     // store is race-free and visible to everyone leaving the barrier.
-    barrier_->arrive(me0, [this, shared_target] {
-      result_ = accumulator_;
-      arrived_ = 0;
-      if (shared_target != nullptr) *shared_target = result_;
+    barrier_->arrive(me0, [&st, shared_target] {
+      st.result = st.acc;
+      st.arrived = 0;
+      if (shared_target != nullptr) *shared_target = st.result;
     });
-    return result_;
+    return st.result;
   }
 
   T allreduce_tournament(int me0, const T& local,
@@ -148,9 +150,9 @@ class Reduction {
     }
     if (me0 == 0) {
       mine.combined.store(ep, std::memory_order_release);
-      result_ = mine.value;
+      state_->result = mine.value;
       // Single-writer point: the champion holds the only complete value.
-      if (shared_target != nullptr) *shared_target = result_;
+      if (shared_target != nullptr) *shared_target = state_->result;
       broadcast_.store(ep, std::memory_order_release);
       broadcast_.notify_all();
     } else {
@@ -159,7 +161,7 @@ class Reduction {
     // A trailing barrier keeps the episode reusable: nobody may overwrite
     // its slot while a parent could still read it.
     barrier_->arrive(me0);
-    return result_;
+    return state_->result;
   }
 
   static void wait_for(const std::atomic<std::uint64_t>& flag,
@@ -189,16 +191,11 @@ class Reduction {
   };
 
   int width_;
-  std::unique_ptr<CriticalSection> critical_;  // thread backend only
-  std::unique_ptr<BarrierAlgorithm> barrier_;  // thread backend only
-  /// Backend reduction engine; null on the thread backend, which keeps
-  /// the two strategy shapes below.
-  std::unique_ptr<machdep::ReductionSite> site_;
-  std::vector<Slot> slots_;
-  // kCritical state (guarded by critical_ / published by the barrier):
-  T accumulator_{};
-  int arrived_ = 0;
-  T result_{};
+  State* state_ = nullptr;  // arena blob, or owned_state_
+  std::unique_ptr<State> owned_state_;
+  std::unique_ptr<CriticalSection> critical_;
+  std::unique_ptr<BarrierAlgorithm> barrier_;
+  std::vector<Slot> slots_;  // tournament only; empty where unavailable
   std::atomic<std::uint64_t> broadcast_{0};
 };
 

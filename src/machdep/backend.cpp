@@ -1,11 +1,10 @@
 // ExecutionBackend implementations: the one place that knows how each
-// process substrate realizes the Force's constructs. ThreadBackend keeps the
-// thread axis monomorphic by returning null engines; ShmBackend and
-// ClusterBackend port the construct protocols (arena keys, site labels,
-// champion sections) byte-for-byte from the former in-construct branches.
+// process substrate realizes the low-level engines (locks, keyed barriers,
+// dispatch counters, askfor rings, async cells). ThreadBackend keeps the
+// thread axis monomorphic by returning null engines; ShmBackend places its
+// engine state in the MAP_SHARED arena, ClusterBackend in the coordinator.
 #include "machdep/backend.hpp"
 
-#include <cstring>
 #include <new>
 
 #include "machdep/arena.hpp"
@@ -16,14 +15,6 @@
 #include "util/check.hpp"
 
 namespace force::machdep {
-
-namespace {
-
-std::size_t align_up(std::size_t offset, std::size_t align) {
-  return (offset + align - 1) & ~(align - 1);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Process model names and parsing.
@@ -103,7 +94,7 @@ const std::vector<CapabilityRow>& capability_table() {
       {Capability::kThreadBarrierAlgorithms, "thread-barriers",
        "thread barrier algorithms", true, false, false,
        "thread barrier algorithms cannot span separate address spaces; use "
-       "make_process_shared_barrier with a keyed barrier"},
+       "ForceEnvironment::make_team_barrier with a key"},
   };
   return kTable;
 }
@@ -172,8 +163,8 @@ std::string capability_matrix_markdown() {
 // ExecutionBackend base defaults.
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<DoallSite> ExecutionBackend::make_doall_site(
-    const std::string& /*site*/, int /*width*/) {
+std::unique_ptr<DispatchEngine> ExecutionBackend::make_dispatch_engine(
+    const std::string& /*site*/) {
   return nullptr;
 }
 
@@ -185,12 +176,6 @@ std::unique_ptr<AskforRing> ExecutionBackend::make_askfor_ring(
 
 std::unique_ptr<AsyncCell> ExecutionBackend::make_async_cell(
     const std::string& /*label*/, std::size_t /*payload_bytes*/,
-    std::size_t /*payload_align*/) {
-  return nullptr;
-}
-
-std::unique_ptr<ReductionSite> ExecutionBackend::make_reduction_site(
-    const std::string& /*key*/, int /*width*/, std::size_t /*payload_bytes*/,
     std::size_t /*payload_align*/) {
   return nullptr;
 }
@@ -225,7 +210,7 @@ namespace {
 class ShmBarrierEngine final : public BarrierEngine {
  public:
   ShmBarrierEngine(SharedArena* arena, int width, const std::string& key)
-      : state_(&arena->get_or_create<shm::ShmBarrierState>(key)),
+      : state_(&arena->get_or_create<shm::ShmBarrierState>("%barrier/" + key)),
         label_("barrier '" + key + "'"),
         width_(static_cast<std::uint32_t>(width)) {}
 
@@ -244,49 +229,25 @@ class ShmBarrierEngine final : public BarrierEngine {
   std::uint32_t width_;
 };
 
-class ShmDoallSite final : public DoallSite {
+class ShmDispatchEngine final : public DispatchEngine {
  public:
-  ShmDoallSite(SharedArena* arena, const std::string& site, int width)
-      : state_(&arena->get_or_create<shm::ShmSelfschedState>("%ssdo/" + site)),
-        label_("selfsched '" + site + "'"),
-        width_(static_cast<std::uint32_t>(width)) {}
+  ShmDispatchEngine(SharedArena* arena, const std::string& site)
+      : state_(&arena->get_or_create<shm::ShmDispatchState>("%dispatch/" +
+                                                            site)) {}
 
-  DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
-                    std::int64_t trips) override {
-    // The entry champion publishes the bounds and re-arms the shared
-    // dispatch counter inside the barrier section; the episode release
-    // publishes them to every process.
-    shm::shm_barrier_arrive(
-        state_->entry, width_,
-        [this, start, last, incr, trips] {
-          state_->start = start;
-          state_->last = last;
-          state_->incr = incr;
-          state_->trips = trips;
-          state_->dispatch.value.store(0, std::memory_order_relaxed);
-        },
-        label_.c_str());
-    DoallBounds b;
-    b.start = state_->start;
-    b.last = state_->last;
-    b.incr = state_->incr;
-    b.trips = state_->trips;
-    return b;
-  }
+  void reset() override { state_->value.store(0, std::memory_order_relaxed); }
 
   DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
-    return shm::shm_dispatch_claim(state_->dispatch, want, limit);
+    return claim_dispatch(state_->value, want, limit);
   }
 
   DispatchClaim claim_fraction(std::int64_t limit,
                                std::int64_t divisor) override {
-    return shm::shm_dispatch_claim_fraction(state_->dispatch, limit, divisor);
+    return claim_dispatch_fraction(state_->value, limit, divisor);
   }
 
  private:
-  shm::ShmSelfschedState* state_;
-  std::string label_;
-  std::uint32_t width_;
+  shm::ShmDispatchState* state_;
 };
 
 class ShmAskforRing final : public AskforRing {
@@ -372,72 +333,6 @@ class ShmAsyncCell final : public AsyncCell {
   std::size_t bytes_;
 };
 
-class ShmReductionSite final : public ReductionSite {
- public:
-  ShmReductionSite(SharedArena* arena, const std::string& key, int width,
-                   std::size_t payload_bytes, std::size_t payload_align)
-      : label_("reduce '" + key + "'"),
-        width_(static_cast<std::uint32_t>(width)),
-        bytes_(payload_bytes) {
-    // Blob layout mirrors the former struct { ShmReduceHeader; T acc;
-    // T result; }: header first so death recovery can scrub the protocol
-    // words by prefix without knowing T.
-    const std::size_t acc_off =
-        align_up(sizeof(shm::ShmReduceHeader), payload_align);
-    const std::size_t result_off =
-        align_up(acc_off + payload_bytes, payload_align);
-    const std::size_t align =
-        payload_align > alignof(shm::ShmReduceHeader)
-            ? payload_align
-            : alignof(shm::ShmReduceHeader);
-    void* blob = arena->allocate_once(
-        "%reduce/" + key, result_off + payload_bytes, align,
-        VarClass::kShared, [result_off, payload_bytes](void* p) {
-          new (p) shm::ShmReduceHeader();
-          std::memset(static_cast<unsigned char*>(p) +
-                          sizeof(shm::ShmReduceHeader),
-                      0,
-                      result_off + payload_bytes -
-                          sizeof(shm::ShmReduceHeader));
-        });
-    hdr_ = static_cast<shm::ShmReduceHeader*>(blob);
-    acc_ = static_cast<unsigned char*>(blob) + acc_off;
-    result_ = static_cast<unsigned char*>(blob) + result_off;
-  }
-
-  void allreduce(int /*me0*/, const void* local, void* result_out,
-                 void* shared_target, const Combine& combine) override {
-    shm::note_site(label_.c_str());
-    shm::shm_lock_acquire(hdr_->lock);
-    if (hdr_->arrived == 0) {
-      std::memcpy(acc_, local, bytes_);
-    } else {
-      combine(acc_, local);
-    }
-    ++hdr_->arrived;
-    shm::shm_lock_release(hdr_->lock);
-    shm::shm_barrier_arrive(
-        hdr_->barrier, width_,
-        [this, shared_target] {
-          std::memcpy(result_, acc_, bytes_);
-          hdr_->arrived = 0;
-          if (shared_target != nullptr) {
-            std::memcpy(shared_target, result_, bytes_);
-          }
-        },
-        label_.c_str());
-    std::memcpy(result_out, result_, bytes_);
-  }
-
- private:
-  shm::ShmReduceHeader* hdr_;
-  unsigned char* acc_;
-  unsigned char* result_;
-  std::string label_;
-  std::uint32_t width_;
-  std::size_t bytes_;
-};
-
 // ---------------------------------------------------------------------------
 // Cluster engines (coordinator RPCs via the member's ClusterClient).
 // ---------------------------------------------------------------------------
@@ -463,62 +358,32 @@ class ClusterBarrierEngine final : public BarrierEngine {
   std::string label_;
 };
 
-class ClusterDoallSite final : public DoallSite {
+class ClusterDispatchEngine final : public DispatchEngine {
  public:
-  /// Episode bounds in the DSM-coherent arena: written by the entry
-  /// champion inside the barrier section (a release point), read by every
-  /// member after the episode release (an acquire point).
-  struct Bounds {
-    std::int64_t start = 0;
-    std::int64_t last = 0;
-    std::int64_t incr = 1;
-    std::int64_t trips = 0;
-  };
+  explicit ClusterDispatchEngine(const std::string& site)
+      : key_("%ssdo/" + site), label_("selfsched '" + site + "'") {}
 
-  ClusterDoallSite(SharedArena* arena, const std::string& site, int width)
-      : key_("%ssdo/" + site),
-        label_("selfsched '" + site + "'"),
-        entry_(width, key_ + "/entry"),
-        bounds_(&arena->get_or_create<Bounds>(key_)) {}
-
-  DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
-                    std::int64_t trips) override {
-    const std::function<void()> section = [this, start, last, incr, trips] {
-      bounds_->start = start;
-      bounds_->last = last;
-      bounds_->incr = incr;
-      bounds_->trips = trips;
-      cluster::require_client().dispatch_reset(key_);
-    };
-    entry_.arrive(0, &section);
-    cluster::require_client().note_site(label_);
-    DoallBounds b;
-    b.start = bounds_->start;
-    b.last = bounds_->last;
-    b.incr = bounds_->incr;
-    b.trips = bounds_->trips;
-    return b;
-  }
+  void reset() override { cluster::require_client().dispatch_reset(key_); }
 
   DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
-    const cluster::Claim c =
-        cluster::require_client().dispatch_claim(key_, want, limit);
-    return DispatchClaim{c.begin, c.count};
+    cluster::ClusterClient& c = cluster::require_client();
+    c.note_site(label_);
+    const cluster::Claim claim = c.dispatch_claim(key_, want, limit);
+    return DispatchClaim{claim.begin, claim.count};
   }
 
   DispatchClaim claim_fraction(std::int64_t limit,
                                std::int64_t divisor) override {
-    const cluster::Claim c =
-        cluster::require_client().dispatch_claim_fraction(key_, limit,
-                                                          divisor);
-    return DispatchClaim{c.begin, c.count};
+    cluster::ClusterClient& c = cluster::require_client();
+    c.note_site(label_);
+    const cluster::Claim claim =
+        c.dispatch_claim_fraction(key_, limit, divisor);
+    return DispatchClaim{claim.begin, claim.count};
   }
 
  private:
   std::string key_;
   std::string label_;
-  ClusterBarrierEngine entry_;
-  Bounds* bounds_;
 };
 
 class ClusterAskforRing final : public AskforRing {
@@ -613,62 +478,6 @@ class ClusterAsyncCell final : public AsyncCell {
   std::size_t bytes_;
 };
 
-class ClusterReductionSite final : public ReductionSite {
- public:
-  ClusterReductionSite(SharedArena* arena, const std::string& key, int width,
-                       std::size_t payload_bytes, std::size_t payload_align)
-      : lock_("reduce@" + key),
-        barrier_(width, "%reduce/" + key + "/barrier"),
-        bytes_(payload_bytes) {
-    // State travels through the DSM-coherent arena: the lock orders the
-    // accumulation (each release ships the dirty bytes), the barrier's
-    // episode release publishes the champion's snapshot.
-    const std::size_t acc_off = align_up(sizeof(std::int32_t), payload_align);
-    const std::size_t result_off =
-        align_up(acc_off + payload_bytes, payload_align);
-    const std::size_t align = payload_align > alignof(std::int32_t)
-                                  ? payload_align
-                                  : alignof(std::int32_t);
-    void* blob = arena->allocate_once(
-        "%reduce/" + key, result_off + payload_bytes, align,
-        VarClass::kShared, [result_off, payload_bytes](void* p) {
-          std::memset(p, 0, result_off + payload_bytes);
-        });
-    arrived_ = static_cast<std::int32_t*>(blob);
-    acc_ = static_cast<unsigned char*>(blob) + acc_off;
-    result_ = static_cast<unsigned char*>(blob) + result_off;
-  }
-
-  void allreduce(int me0, const void* local, void* result_out,
-                 void* shared_target, const Combine& combine) override {
-    lock_.acquire();
-    if (*arrived_ == 0) {
-      std::memcpy(acc_, local, bytes_);
-    } else {
-      combine(acc_, local);
-    }
-    ++*arrived_;
-    lock_.release();
-    const std::function<void()> section = [this, shared_target] {
-      std::memcpy(result_, acc_, bytes_);
-      *arrived_ = 0;
-      if (shared_target != nullptr) {
-        std::memcpy(shared_target, result_, bytes_);
-      }
-    };
-    barrier_.arrive(me0, &section);
-    std::memcpy(result_out, result_, bytes_);
-  }
-
- private:
-  cluster::ClusterLock lock_;
-  ClusterBarrierEngine barrier_;
-  std::int32_t* arrived_;
-  unsigned char* acc_;
-  unsigned char* result_;
-  std::size_t bytes_;
-};
-
 // ---------------------------------------------------------------------------
 // ThreadBackend: machine-model engines; null construct engines keep the
 // constructs' monomorphic thread machinery (lock-free dispatch included).
@@ -745,9 +554,9 @@ class ShmBackend final : public ExecutionBackend {
     return ProcessModel::kOsFork;
   }
 
-  [[nodiscard]] std::unique_ptr<DoallSite> make_doall_site(
-      const std::string& site, int width) override {
-    return std::make_unique<ShmDoallSite>(arena_, site, width);
+  [[nodiscard]] std::unique_ptr<DispatchEngine> make_dispatch_engine(
+      const std::string& site) override {
+    return std::make_unique<ShmDispatchEngine>(arena_, site);
   }
 
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
@@ -765,13 +574,6 @@ class ShmBackend final : public ExecutionBackend {
                 "os-fork async payloads must not require more than 64-byte "
                 "alignment (the payload window follows the cell state word)");
     return std::make_unique<ShmAsyncCell>(arena_, label, payload_bytes);
-  }
-
-  [[nodiscard]] std::unique_ptr<ReductionSite> make_reduction_site(
-      const std::string& key, int width, std::size_t payload_bytes,
-      std::size_t payload_align) override {
-    return std::make_unique<ShmReductionSite>(arena_, key, width,
-                                              payload_bytes, payload_align);
   }
 
   [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(
@@ -856,19 +658,16 @@ class ShmBackend final : public ExecutionBackend {
       const auto prefixed = [&name](const char* p) {
         return name.rfind(p, 0) == 0;
       };
-      if (name == "%force/global") {
-        // Arrival count of the global barrier: the victims' arrivals can
-        // never complete. The episode word stays monotonic (arrivals read
-        // it fresh), so zeroing the count alone re-arms the episode.
+      if (prefixed("%barrier/")) {
+        // Arrival count of a keyed barrier (the global barrier, DOALL
+        // entries, reductions): the victims' arrivals can never complete.
+        // The episode word stays monotonic (arrivals read it fresh), so
+        // zeroing the count alone re-arms the episode. Dispatch counters
+        // need nothing: the next entry champion re-arms them.
         static_cast<shm::ShmBarrierState*>(addr)->count.store(
             0, std::memory_order_release);
       } else if (prefixed("%lock/")) {
         static_cast<shm::ShmLockState*>(addr)->word.store(
-            0, std::memory_order_release);
-      } else if (prefixed("%ssdo/")) {
-        // The dispatch counter is re-armed by the entry champion anyway;
-        // only the entry barrier carries dead arrivals.
-        static_cast<shm::ShmSelfschedState*>(addr)->entry.count.store(
             0, std::memory_order_release);
       } else if (prefixed("%askfor/")) {
         auto* a = static_cast<shm::ShmAskforState*>(addr);
@@ -888,10 +687,10 @@ class ShmBackend final : public ExecutionBackend {
         c->state.compare_exchange_strong(busy, 0,
                                          std::memory_order_acq_rel);
       } else if (prefixed("%reduce/")) {
-        auto* h = static_cast<shm::ShmReduceHeader*>(addr);
-        h->lock.word.store(0, std::memory_order_release);
-        h->barrier.count.store(0, std::memory_order_release);
-        h->arrived = 0;
+        // A reduction's arrival count (see the header): a victim counted
+        // in it would make the next episode fold into a stale accumulator.
+        // Its lock and barrier are scrubbed by the branches above.
+        *static_cast<std::uint32_t*>(addr) = 0;
       }
     });
   }
@@ -916,9 +715,9 @@ class ClusterBackend final : public ExecutionBackend {
     return ProcessModel::kCluster;
   }
 
-  [[nodiscard]] std::unique_ptr<DoallSite> make_doall_site(
-      const std::string& site, int width) override {
-    return std::make_unique<ClusterDoallSite>(arena_, site, width);
+  [[nodiscard]] std::unique_ptr<DispatchEngine> make_dispatch_engine(
+      const std::string& site) override {
+    return std::make_unique<ClusterDispatchEngine>(site);
   }
 
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
@@ -933,14 +732,6 @@ class ClusterBackend final : public ExecutionBackend {
       const std::string& label, std::size_t payload_bytes,
       std::size_t /*payload_align*/) override {
     return std::make_unique<ClusterAsyncCell>(label, payload_bytes);
-  }
-
-  [[nodiscard]] std::unique_ptr<ReductionSite> make_reduction_site(
-      const std::string& key, int width, std::size_t payload_bytes,
-      std::size_t payload_align) override {
-    return std::make_unique<ClusterReductionSite>(arena_, key, width,
-                                                  payload_bytes,
-                                                  payload_align);
   }
 
   [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(

@@ -9,11 +9,15 @@
 //
 //   * ProcessModel / ExecutionBackend - the process substrate is chosen ONCE
 //     (ForceEnvironment construction) and every construct talks to one
-//     polymorphic surface. ThreadBackend returns null construct engines, so
-//     the thread axis keeps its monomorphic, inlined machinery (in
-//     particular the lock-free DispatchCounter fast path); ShmBackend and
-//     ClusterBackend hand out engines over machdep/shm and machdep/cluster.
-//     Core never names a backend (enforced by a CI layering lint).
+//     polymorphic surface. Like the paper's machine-dependent layer, a
+//     backend supplies only low-level engines: locks, keyed team barriers,
+//     a shared dispatch counter, askfor rings and async cells. Core builds
+//     every construct from these (reductions and the DOALL episode entry
+//     included). ThreadBackend returns null engines, so the thread axis
+//     keeps its monomorphic, inlined machinery (in particular the
+//     lock-free DispatchCounter fast path); ShmBackend and ClusterBackend
+//     hand out engines over machdep/shm and machdep/cluster. Core never
+//     names a backend (enforced by a CI layering lint).
 //
 //   * Capability / capability_table() - ONE declarative table of what each
 //     backend supports, consumed by (a) runtime rejection diagnostics
@@ -126,27 +130,19 @@ struct CapabilityRow {
 // created for trivially copyable payloads (the capability table rejects the
 // rest before an engine is requested). A null engine from the backend means
 // "no engine": the construct keeps its monomorphic thread-axis machinery.
+// Engine state lives under '%'-prefixed keys: in the MAP_SHARED arena
+// (os-fork) or in the coordinator's keyed tables (cluster).
 // ---------------------------------------------------------------------------
 
-/// Episode bounds of one selfscheduled DOALL site, as published by the
-/// entry champion.
-struct DoallBounds {
-  std::int64_t start = 0;
-  std::int64_t last = 0;
-  std::int64_t incr = 1;
-  std::int64_t trips = 0;
-};
-
-/// One selfscheduled DOALL site: episode entry (champion publishes bounds
-/// and re-arms the dispatch counter) plus the claim loop.
-class DoallSite {
+/// The asynchronous loop index of one selfscheduled DOALL site, shared by
+/// every member of the team. Only the counter is the backend's: the
+/// episode entry (keyed barrier, bounds in the arena) is built in core.
+class DispatchEngine {
  public:
-  virtual ~DoallSite() = default;
-  /// Arrives at the episode entry with this member's loop bounds; the
-  /// elected champion publishes them. Returns the published bounds (for
-  /// SPMD divergence detection by the caller).
-  virtual DoallBounds enter(std::int64_t start, std::int64_t last,
-                            std::int64_t incr, std::int64_t trips) = 0;
+  virtual ~DispatchEngine() = default;
+  /// Re-arms the counter to zero. Called only by the entry champion,
+  /// inside the entry barrier's section; the episode release publishes it.
+  virtual void reset() = 0;
   virtual DispatchClaim claim(std::int64_t want, std::int64_t limit) = 0;
   virtual DispatchClaim claim_fraction(std::int64_t limit,
                                        std::int64_t divisor) = 0;
@@ -182,21 +178,6 @@ class AsyncCell {
   [[nodiscard]] virtual bool is_full() = 0;
 };
 
-/// One named reduction site (accumulate under a lock, champion snapshot at
-/// the member barrier).
-class ReductionSite {
- public:
-  /// Folds `local` into `acc` in place.
-  using Combine = std::function<void(void* acc, const void* local)>;
-
-  virtual ~ReductionSite() = default;
-  /// One member's allreduce: contributes `local`, barriers, copies the
-  /// combined result into `result_out`; the champion additionally copies it
-  /// into `shared_target` when non-null.
-  virtual void allreduce(int me0, const void* local, void* result_out,
-                         void* shared_target, const Combine& combine) = 0;
-};
-
 /// One keyed team barrier spanning the backend's address spaces.
 class BarrierEngine {
  public:
@@ -224,15 +205,12 @@ class ExecutionBackend {
 
   // --- construct engines (null on ThreadBackend: keep the monomorphic
   // --- thread machinery, including the lock-free dispatch fast path) ------
-  [[nodiscard]] virtual std::unique_ptr<DoallSite> make_doall_site(
-      const std::string& site, int width);
+  [[nodiscard]] virtual std::unique_ptr<DispatchEngine> make_dispatch_engine(
+      const std::string& site);
   [[nodiscard]] virtual std::unique_ptr<AskforRing> make_askfor_ring(
       const std::string& key, std::uint32_t capacity, std::size_t task_bytes);
   [[nodiscard]] virtual std::unique_ptr<AsyncCell> make_async_cell(
       const std::string& label, std::size_t payload_bytes,
-      std::size_t payload_align);
-  [[nodiscard]] virtual std::unique_ptr<ReductionSite> make_reduction_site(
-      const std::string& key, int width, std::size_t payload_bytes,
       std::size_t payload_align);
   [[nodiscard]] virtual std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key);
@@ -268,6 +246,9 @@ class ExecutionBackend {
 
   /// Scrubs shared synchronization state after a member death so the
   /// owning environment stays usable (ShmBackend only; others throw).
+  /// Besides its own engines' words, it zeroes the first 32-bit word of
+  /// every arena blob named "%reduce/<key>": core's reductions keep their
+  /// arrival count there (core/reduce.hpp).
   virtual void reset_shared_sync_after_death();
 };
 

@@ -371,9 +371,19 @@ void CombinedLock::acquire() {
     }
     return;
   }
+  // Sleep/wake ordering (the store-buffer litmus): the sleeper writes
+  // sleepers_ then reads held_ (the predicate's exchange); release()
+  // writes held_ then reads sleepers_. With all four accesses seq_cst they
+  // sit in one total order, so at least one side sees the other's write:
+  // either release() counts this sleeper and notifies under m_, or the
+  // predicate's exchange sees that release's store (and takes the lock,
+  // or finds a later holder whose release will count this sleeper). With the
+  // weaker orders each load could run ahead of its own store, both sides
+  // would read the stale value, and the sleeper would miss its only wake.
   std::unique_lock<std::mutex> lk(m_);
-  sleepers_.fetch_add(1, std::memory_order_relaxed);
-  cv_.wait(lk, [&] { return !held_.exchange(true, std::memory_order_acquire); });
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  cv_.wait(lk,
+           [&] { return !held_.exchange(true, std::memory_order_seq_cst); });
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -384,9 +394,11 @@ bool CombinedLock::try_acquire() {
 
 void CombinedLock::release() {
   bump(counters_, &LockCounters::releases);
-  held_.store(false, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_relaxed) > 0) {
-    // Taking the mutex orders this notify after any in-flight wait entry,
+  // seq_cst store and load: the releasing half of the litmus in acquire().
+  held_.store(false, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    // Taking the mutex orders this notify after any in-flight wait entry
+    // (a counted sleeper holds m_ from its increment until it is parked),
     // so a sleeper cannot miss the wakeup.
     std::lock_guard<std::mutex> lk(m_);
     cv_.notify_one();
@@ -417,28 +429,47 @@ std::int64_t DispatchCounter::value() const {
   return v;
 }
 
-DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
+DispatchClaim claim_dispatch(std::atomic<std::int64_t>& value,
+                             std::int64_t want, std::int64_t limit) {
   FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
-  if (lock_ == nullptr) {
-    // One fetch-add is the whole fast path. Exactly-once follows from the
-    // RMW total order: successive returns tile [reset, ...) contiguously.
-    // Plain ordering suffices for the counter itself; the episode gates
-    // publish the loop bounds (see reset()).
-    const std::int64_t t = value_.fetch_add(want, std::memory_order_acq_rel);
-    if (t >= limit) {
-      // Exhausted. Pull the runaway value back down to `limit` so that
-      // unbounded re-probing can never overflow the counter. Safe: once
-      // the value has crossed `limit`, every trip below it has already
-      // been granted exactly once, so no lower trip becomes claimable.
-      std::int64_t cur = value_.load(std::memory_order_relaxed);
-      while (cur > limit && !value_.compare_exchange_weak(
-                                cur, limit, std::memory_order_acq_rel,
-                                std::memory_order_relaxed)) {
-      }
-      return {t, 0};
+  // One fetch-add is the whole fast path. Exactly-once follows from the
+  // RMW total order: successive returns tile [reset, ...) contiguously.
+  // Plain ordering suffices for the counter itself; the episode gates
+  // publish the loop bounds (see DispatchCounter::reset()).
+  const std::int64_t t = value.fetch_add(want, std::memory_order_acq_rel);
+  if (t >= limit) {
+    // Exhausted. Pull the runaway value back down to `limit` so that
+    // unbounded re-probing can never overflow the counter. Safe: once
+    // the value has crossed `limit`, every trip below it has already
+    // been granted exactly once, so no lower trip becomes claimable.
+    std::int64_t cur = value.load(std::memory_order_relaxed);
+    while (cur > limit &&
+           !value.compare_exchange_weak(cur, limit, std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
     }
-    return {t, std::min(want, limit - t)};
+    return {t, 0};
   }
+  return {t, std::min(want, limit - t)};
+}
+
+DispatchClaim claim_dispatch_fraction(std::atomic<std::int64_t>& value,
+                                      std::int64_t limit,
+                                      std::int64_t divisor) {
+  FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
+  std::int64_t t = value.load(std::memory_order_relaxed);
+  for (;;) {
+    if (t >= limit) return {t, 0};
+    const std::int64_t want = std::max<std::int64_t>(1, (limit - t) / divisor);
+    if (value.compare_exchange_weak(t, t + want, std::memory_order_acq_rel,
+                                    std::memory_order_relaxed)) {
+      return {t, want};
+    }
+  }
+}
+
+DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
+  if (lock_ == nullptr) return claim_dispatch(value_, want, limit);
+  FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
   // Lock engine: the paper's expansion - one generic-lock pass per claim,
   // clamped at the limit so an exhausted loop never advances the counter.
   lock_->acquire();
@@ -453,20 +484,8 @@ DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
 
 DispatchClaim DispatchCounter::claim_fraction(std::int64_t limit,
                                               std::int64_t divisor) {
+  if (lock_ == nullptr) return claim_dispatch_fraction(value_, limit, divisor);
   FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
-  if (lock_ == nullptr) {
-    std::int64_t t = value_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (t >= limit) return {t, 0};
-      const std::int64_t want =
-          std::max<std::int64_t>(1, (limit - t) / divisor);
-      if (value_.compare_exchange_weak(t, t + want,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-        return {t, want};
-      }
-    }
-  }
   lock_->acquire();
   const std::int64_t t = value_.load(std::memory_order_relaxed);
   std::int64_t want = 0;

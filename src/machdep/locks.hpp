@@ -291,6 +291,19 @@ struct DispatchClaim {
   std::int64_t count = 0;
 };
 
+/// The lock-free claim arithmetic over one trips-claimed word: a single
+/// fetch-add that clamps a runaway value back to `limit`. Address-free, so
+/// the same code serves DispatchCounter's lock-free engine and a counter in
+/// a MAP_SHARED mapping.
+DispatchClaim claim_dispatch(std::atomic<std::int64_t>& value,
+                             std::int64_t want, std::int64_t limit);
+
+/// Guided claim over one trips-claimed word: max(1, remaining / divisor)
+/// trips, by a CAS loop on the value being replaced.
+DispatchClaim claim_dispatch_fraction(std::atomic<std::int64_t>& value,
+                                      std::int64_t limit,
+                                      std::int64_t divisor);
+
 /// A monotone trips-claimed counter with two interchangeable engines:
 /// a cache-line-padded atomic (hardware RMW machines) or a lock-guarded
 /// plain value (everything else). Both engines clamp at `limit`, so the

@@ -192,48 +192,11 @@ void shm_cell_void(ShmCellState& c);
 
 // --- process-shared dispatch counter ---------------------------------------
 
-/// The lock-free dispatch engine's counter, address-free so it works on
-/// shared pages: plain fetch-add / CAS, no waiting involved. Mirrors
-/// DispatchCounter's clamp-at-limit semantics exactly (see locks.cpp).
+/// The asynchronous loop index of one os-fork DOALL site. Claims go through
+/// claim_dispatch / claim_dispatch_fraction (machdep/locks.hpp), the same
+/// address-free atomic arithmetic as DispatchCounter's lock-free engine.
 struct alignas(64) ShmDispatchState {
   std::atomic<std::int64_t> value{0};
-};
-
-DispatchClaim shm_dispatch_claim(ShmDispatchState& d, std::int64_t want,
-                                 std::int64_t limit);
-DispatchClaim shm_dispatch_claim_fraction(ShmDispatchState& d,
-                                          std::int64_t limit,
-                                          std::int64_t divisor);
-
-// --- selfscheduled-loop episode state --------------------------------------
-
-/// Shared state of one selfscheduled DOALL site under kOsFork: an entry
-/// barrier whose champion publishes the bounds and re-arms the dispatch,
-/// then a claim loop on the shared counter. Faithful to the paper there
-/// is NO exit barrier; reuse is still safe because the next episode's
-/// entry barrier cannot complete until every process has arrived, and a
-/// process only arrives after leaving the previous claim loop.
-struct ShmSelfschedState {
-  ShmBarrierState entry;
-  ShmDispatchState dispatch;
-  // Episode bounds: written only by the entry champion, inside the
-  // barrier section, published by the episode release.
-  std::int64_t start = 0;
-  std::int64_t last = 0;
-  std::int64_t incr = 1;
-  std::int64_t trips = 0;
-};
-
-// --- process-shared reduction header ----------------------------------------
-
-/// Fixed head of an os-fork reduction blob ("%reduce/<key>" in the arena,
-/// core/reduce.hpp): the payload-typed accumulator and result follow in
-/// the same allocation, but death recovery only needs to scrub these
-/// protocol words, so they are split out as an untemplated POD.
-struct ShmReduceHeader {
-  ShmLockState lock;
-  ShmBarrierState barrier;
-  std::uint32_t arrived = 0;  ///< guarded by lock
 };
 
 // --- process-shared askfor monitor -----------------------------------------

@@ -49,7 +49,7 @@ TeamPool::TeamPool(int workers, std::size_t member_stack_bytes)
 
 TeamPool::~TeamPool() {
   shutdown_.store(true, std::memory_order_release);
-  arm_.fetch_add(1, std::memory_order_acq_rel);
+  arm_.fetch_add(1, std::memory_order_seq_cst);  // see run(): wake ordering
   arm_.notify_all();
   threads_.clear();  // jthread joins
 }
@@ -71,7 +71,14 @@ void TeamPool::worker_main(int w) {
     seen = g;
     run_members(w, job_, sched);
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      done_.store(g, std::memory_order_release);
+      // seq_cst, not release: notify_all() skips the futex wake unless it
+      // reads a nonzero waiter count (libstdc++ keeps one per wait-table
+      // bucket), and the driver bumps that count (seq_cst) before its
+      // final check of done_. Store done_ / load count against add count /
+      // load done_ is the store-buffer litmus; a release store may be
+      // passed by the count load, both sides read stale values, and the
+      // driver sleeps on a done_ that is already published.
+      done_.store(g, std::memory_order_seq_cst);
       done_.notify_all();
     }
   }
@@ -117,8 +124,10 @@ SpawnStats TeamPool::run(int nproc, const std::function<void(int)>& entry) {
   job_.entry = &entry;
   job_.nproc = nproc;
   remaining_.store(workers_, std::memory_order_relaxed);
-  // The arm generation publishes the job (release) and unparks the team.
-  const std::uint32_t g = arm_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // The arm generation publishes the job and unparks the team. seq_cst for
+  // the same store-buffer reason as done_ in worker_main(): the bump must
+  // be ordered before notify_all()'s read of the parked-waiter count.
+  const std::uint32_t g = arm_.fetch_add(1, std::memory_order_seq_cst) + 1;
   arm_.notify_all();
   stats.create_ns = util::now_ns() - t0;
 

@@ -25,6 +25,7 @@
 // pooled re-entry must stay bit-identical to the fresh-team oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -101,36 +102,89 @@ TEST(Conformance, Saxpy) {
 
 // --- BarrierReduction: critical + barrier section, iterated -----------------
 
+namespace {
+
+// 24 bytes of fields under a 16-byte alignment (32 with padding): the
+// reduction state must honour an over-aligned multi-word payload wherever
+// the backend places it.
+struct alignas(16) Moments {
+  std::int64_t count = 0;
+  std::int64_t sum = 0;
+  std::int64_t max = 0;
+};
+
+Moments combine_moments(Moments p, const Moments& q) {
+  p.count += q.count;
+  p.sum += q.sum;
+  p.max = std::max(p.max, q.max);
+  return p;
+}
+
+}  // namespace
+
 TEST(Conformance, BarrierSectionReduction) {
   constexpr int kRounds = 5;
   constexpr std::int64_t kN = 1000;
 
-  // Oracle: rounds of sum(1..kN) scaled by the round number.
+  // Oracle: rounds of sum(1..kN) scaled by the round number, and the
+  // moments (count, sum, max) of the same terms.
   std::array<std::int64_t, kRounds> oracle{};
+  std::array<Moments, kRounds> moments_oracle{};
   for (int r = 0; r < kRounds; ++r) {
     std::int64_t s = 0;
-    for (std::int64_t i = 1; i <= kN; ++i) s += i * (r + 1);
+    Moments m;
+    for (std::int64_t i = 1; i <= kN; ++i) {
+      s += i * (r + 1);
+      m = combine_moments(m, Moments{1, i * (r + 1), i * (r + 1)});
+    }
     oracle[static_cast<std::size_t>(r)] = s;
+    moments_oracle[static_cast<std::size_t>(r)] = m;
   }
 
   force::Force f(cell_config());
   auto& results = f.shared<std::array<std::int64_t, kRounds>>("results");
+  auto& moments = f.shared<std::array<Moments, kRounds>>("moments");
+  auto& returned = f.shared<std::array<Moments, kNproc>>("returned");
   for (int run = 0; run < cell_runs(); ++run) {
     results = {};
+    moments = {};
+    returned = {};
     f.run([&](core::Ctx& ctx) {
       for (int r = 0; r < kRounds; ++r) {
         std::int64_t local = 0;
-        ctx.presched_do(1, kN, 1,
-                        [&](std::int64_t i) { local += i * (r + 1); });
+        Moments local_moments;
+        ctx.presched_do(1, kN, 1, [&](std::int64_t i) {
+          local += i * (r + 1);
+          local_moments = combine_moments(
+              local_moments, Moments{1, i * (r + 1), i * (r + 1)});
+        });
         ctx.reduce_into<std::int64_t>(
             FORCE_SITE, local, results[static_cast<std::size_t>(r)],
             [](std::int64_t p, std::int64_t q) { return p + q; });
+        const Moments all = ctx.reduce_into<Moments>(
+            FORCE_SITE, local_moments, moments[static_cast<std::size_t>(r)],
+            combine_moments);
+        // The last round's allreduce result, as each member saw it.
+        if (r == kRounds - 1) {
+          returned[static_cast<std::size_t>(ctx.me0())] = all;
+        }
       }
+      ctx.barrier();
     });
+    const auto same = [](const Moments& p, const Moments& q) {
+      return p.count == q.count && p.sum == q.sum && p.max == q.max;
+    };
     for (int r = 0; r < kRounds; ++r) {
-      EXPECT_EQ(results[static_cast<std::size_t>(r)],
-                oracle[static_cast<std::size_t>(r)])
-          << "round " << r << " (run " << run << ")";
+      const auto u = static_cast<std::size_t>(r);
+      EXPECT_EQ(results[u], oracle[u]) << "round " << r << " (run " << run
+                                       << ")";
+      EXPECT_TRUE(same(moments[u], moments_oracle[u]))
+          << "moments, round " << r << " (run " << run << ")";
+    }
+    for (int p = 0; p < kNproc; ++p) {
+      EXPECT_TRUE(same(returned[static_cast<std::size_t>(p)],
+                       moments_oracle[kRounds - 1]))
+          << "moments returned to member " << p << " (run " << run << ")";
     }
   }
 }

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "machdep/locks.hpp"
+#include "machdep/machine.hpp"
 #include "util/check.hpp"
 
 namespace md = force::machdep;
@@ -189,6 +191,82 @@ TEST(CombinedLock, FallsBackToBlockingUnderLongHold) {
   lock.release();
   waiter.join();
   EXPECT_GE(md::snapshot(counters).blocking_waits, 1u);
+}
+
+// Flex/32's combined lock used as a pair of semaphores, each released by
+// the thread that does not hold it (the Produce/Consume shape). With the
+// spin budget at zero every contended acquire parks on the condition
+// variable, so each handoff races release() against a sleeper's entry:
+// the store-buffer window in which a weakly ordered release reads zero
+// sleepers while the sleeper still sees the lock held. A lost wakeup
+// stalls the ping-pong; the watchdog then fails the test and rescues the
+// parked threads with extra releases instead of hanging the suite.
+TEST(CombinedLock, SemaphorePingPongNeverLosesAWakeup) {
+  md::MachineSpec spec = md::machine_spec("flex32");
+  spec.spin_policy.combined_spin_budget = 0;
+  md::MachineModel machine(spec);
+  // Several independent pairs: more handoffs in flight, and six threads
+  // oversubscribe a small host, whose preemptions vary the interleavings.
+  // Before the seq_cst fix this stalled within about a million rounds.
+  constexpr int kPairs = 3;
+  constexpr int kRounds = 500000;
+  struct Pair {
+    std::unique_ptr<md::BasicLock> ping;
+    std::unique_ptr<md::BasicLock> pong;
+  };
+  std::vector<Pair> pairs;
+  for (int p = 0; p < kPairs; ++p) {
+    pairs.push_back({machine.new_lock(), machine.new_lock()});
+    ASSERT_STREQ(pairs.back().ping->mechanism(), "combined");
+    pairs.back().ping->acquire();
+    pairs.back().pong->acquire();
+  }
+  std::atomic<int> progress{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> team;
+  for (Pair& pair : pairs) {
+    team.emplace_back([&] {
+      for (int i = 0; i < kRounds && !stop.load(); ++i) {
+        pair.ping->acquire();
+        progress.fetch_add(1, std::memory_order_relaxed);
+        pair.pong->release();
+      }
+      finished.fetch_add(1);
+    });
+    team.emplace_back([&] {
+      for (int i = 0; i < kRounds && !stop.load(); ++i) {
+        pair.ping->release();
+        pair.pong->acquire();
+      }
+      finished.fetch_add(1);
+    });
+  }
+  const int threads = static_cast<int>(team.size());
+  int seen = -1;
+  auto last_move = std::chrono::steady_clock::now();
+  while (finished.load() < threads) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = progress.load(std::memory_order_relaxed);
+    if (now != seen) {
+      seen = now;
+      last_move = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - last_move >
+               std::chrono::seconds(3)) {
+      ADD_FAILURE() << "ping-pong stalled after " << now << " of "
+                    << kPairs * kRounds
+                    << " rounds: a parked acquirer missed its wakeup";
+      stop.store(true);
+      while (finished.load() < threads) {
+        for (Pair& pair : pairs) {
+          pair.ping->release();
+          pair.pong->release();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+  for (std::thread& t : team) t.join();
 }
 
 TEST(SystemLock, NeverSpins) {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 #include "core/force.hpp"
@@ -307,5 +308,77 @@ TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
   f.run(program);
   EXPECT_EQ(ok, 2 * kNproc);
   EXPECT_TRUE(f.env().fork_pool(kNproc).armed());
+  EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
+}
+
+// A pool child SIGKILLed while its siblings wait inside a reduction (the
+// victim dies holding the reduction lock, with the arrival count and the
+// barrier count part-way) or at a selfsched entry barrier. The scrub after
+// the death must re-arm every one of those arena words, or the next force
+// on the same Force hangs on the lock or a barrier, or folds into a stale
+// accumulator.
+TEST(PooledForkDeath, ReductionAndSelfschedStateIsScrubbedAfterASigkill) {
+  constexpr std::int64_t kTrips = 64;
+  constexpr std::int64_t kAlive = 0;
+  constexpr std::int64_t kInReduce = 1;
+  constexpr std::int64_t kAtSelfschedEntry = 2;
+  force::Force f(fork_pool_config());
+  auto& kill_at = f.shared<std::int64_t>("kill_at");
+  auto& entering = f.shared<std::atomic<std::int64_t>>("entering");
+  auto& sum = f.shared<std::int64_t>("sum");
+  auto& hits = f.shared<std::array<std::int64_t, kTrips>>("hits");
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto program = [&](core::Ctx& ctx) {
+    const bool victim = ctx.me() == 2;
+    if (kill_at == kInReduce) {
+      // Let the siblings contribute first, so the victim's own
+      // contribution folds (and dies) under the reduction lock.
+      if (victim) {
+        while (entering.load() < kNproc - 1) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      } else {
+        entering.fetch_add(1);
+      }
+    }
+    ctx.reduce_into<std::int64_t>(
+        FORCE_SITE, ctx.me(), sum, [&](std::int64_t a, std::int64_t b) {
+          if (kill_at == kInReduce && victim) raise(SIGKILL);
+          return a + b;
+        });
+    // kAtSelfschedEntry, or a kInReduce victim that happened to arrive
+    // first (no fold to die in): the siblings wait at the entry barrier.
+    if (kill_at != kAlive && victim) raise(SIGKILL);
+    ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t i) {
+      hits[static_cast<std::size_t>(i)] += 1;
+    });
+    ctx.barrier();
+  };
+  const auto expect_clean_run = [&](const char* after) {
+    kill_at = kAlive;
+    sum = 0;
+    hits = {};
+    f.run(program);
+    EXPECT_EQ(sum, kNproc * (kNproc + 1) / 2) << "reduce after " << after;
+    for (std::int64_t i = 0; i < kTrips; ++i) {
+      EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1)
+          << "trip " << i << " after " << after;
+    }
+  };
+  expect_clean_run("nothing");
+  for (const std::int64_t where : {kInReduce, kAtSelfschedEntry}) {
+    kill_at = where;
+    entering = 0;
+    try {
+      f.run(program);
+      FAIL() << "a SIGKILLed pool child must surface as ProcessDeathError";
+    } catch (const md::ProcessDeathError& e) {
+      EXPECT_EQ(e.process(), 2);
+      EXPECT_EQ(e.term_signal(), SIGKILL);
+    }
+    const char* after =
+        where == kInReduce ? "a death in the reduction" : "a death at entry";
+    expect_clean_run(after);
+    expect_clean_run(after);  // and again on the re-armed pool
+  }
   EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
 }
