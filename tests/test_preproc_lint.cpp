@@ -62,6 +62,14 @@ struct RuleFixture {
   const char* rule_id;
 };
 
+// gtest's default printer dumps the two string-literal addresses, so the
+// ctest name discovered from it changed with ASLR and with every change to
+// the binary's layout. Print the fields instead, in the default's format.
+void PrintTo(const RuleFixture& p, std::ostream* os) {
+  *os << sizeof(RuleFixture) << "-byte object <" << p.file << ' ' << p.rule_id
+      << '>';
+}
+
 class LintFixtureTest : public ::testing::TestWithParam<RuleFixture> {};
 
 TEST_P(LintFixtureTest, SeededFixtureTripsItsRule) {
